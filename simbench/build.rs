@@ -1,0 +1,19 @@
+//! Stamps the compiler version and cargo profile into the binary for the
+//! provenance block of every report.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .unwrap_or_else(|| "unknown".to_owned());
+    println!("cargo:rustc-env=SIMBENCH_RUSTC={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_owned());
+    println!("cargo:rustc-env=SIMBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
